@@ -170,9 +170,9 @@ let parse s =
   try
     let n = String.length s in
     if n < String.length magic + 4 then raise Exit;
-    if not (String.equal (String.sub s 0 (String.length magic)) magic) then raise Exit;
+    if not (String.starts_with ~prefix:magic s) then raise Exit;
     let body_len = n - 4 in
-    if Crc32c.mask (Crc32c.string (String.sub s 0 body_len)) <> read_u32 s body_len then raise Exit;
+    if Crc32c.mask (Crc32c.substring s ~pos:0 ~len:body_len) <> read_u32 s body_len then raise Exit;
     let pos = ref (String.length magic) in
     let rd () =
       let v, p = Varint.read s !pos in
@@ -235,12 +235,6 @@ let load env ~sst ~log_name ~view_name =
 (* Cursor                                                              *)
 
 let cursor view env ~sst ~log_name ~low ~high : K.t =
-  let covered =
-    if view.log_upto = 0 then ""
-    else
-      try Env.read_at env log_name ~off:0 ~len:view.log_upto
-      with Not_found | Invalid_argument _ -> raise Stale
-  in
   (* Seek: last fence strictly below [low] — entries at the fence key
      itself may also exist before the fence, so equal keys must not be
      skipped over. *)
@@ -269,9 +263,12 @@ let cursor view env ~sst ~log_name ~low ~high : K.t =
           | Some e -> e
           | None -> raise Stale
         else
-          match Log_file.Record.decode covered ~pos:(tok - 1) with
-          | Some (e, _) -> e
-          | None -> raise Stale
+          (* Each log token reads its own record: the cursor never
+             copies the covered prefix, of which a range scan walks a
+             few records. *)
+          match Log_file.Reader.record_at env log_name ~off:(tok - 1) ~hi:view.log_upto with
+          | Some e -> e
+          | None | (exception (Not_found | Invalid_argument _)) -> raise Stale
       in
       if String.compare e.K.key low < 0 then token_walk ()
       else if String.compare e.K.key high > 0 then begin

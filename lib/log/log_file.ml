@@ -8,38 +8,40 @@ module Record = struct
   let op_put = 0
   let op_delete = 1
 
-  let encode_payload buf (e : Kv_iter.entry) =
-    Buffer.add_char buf (Char.chr (match e.value with Some _ -> op_put | None -> op_delete));
-    Varint.write buf (String.length e.key);
-    Buffer.add_string buf e.key;
-    Varint.write buf e.version;
-    Varint.write buf e.counter;
-    match e.value with
-    | Some v ->
-      Varint.write buf (String.length v);
-      Buffer.add_string buf v
-    | None -> ()
+  let payload_length (e : Kv_iter.entry) =
+    let klen = String.length e.key in
+    let value_len =
+      match e.value with
+      | Some v -> Varint.encoded_size (String.length v) + String.length v
+      | None -> 0
+    in
+    1 + Varint.encoded_size klen + klen + Varint.encoded_size e.version
+    + Varint.encoded_size e.counter + value_len
 
-  let add_u32_le buf (v : int32) =
-    Buffer.add_char buf (Char.chr (Int32.to_int v land 0xff));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xff));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xff));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xff))
-
-  let read_u32_le s pos =
-    let b i = Int32.of_int (Char.code s.[pos + i]) in
-    Int32.logor (b 0)
-      (Int32.logor
-         (Int32.shift_left (b 1) 8)
-         (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-
-  let encode buf e =
-    let scratch = Buffer.create 256 in
-    encode_payload scratch e;
-    let payload = Buffer.contents scratch in
-    add_u32_le buf (Crc32c.mask (Crc32c.string payload));
-    Varint.write buf (String.length payload);
-    Buffer.add_string buf payload
+  (* The frame is built in one exactly-sized buffer and checksummed in
+     place: one allocation per record, and the frame is never copied. *)
+  let encode (e : Kv_iter.entry) =
+    let plen = payload_length e in
+    let start = 4 + Varint.encoded_size plen in
+    let b = Bytes.create (start + plen) in
+    let p = Varint.write_bytes b 4 plen in
+    Bytes.set b p (Char.chr (match e.value with Some _ -> op_put | None -> op_delete));
+    let add_string p s =
+      Bytes.blit_string s 0 b p (String.length s);
+      p + String.length s
+    in
+    let p = Varint.write_bytes b (p + 1) (String.length e.key) in
+    let p = add_string p e.key in
+    let p = Varint.write_bytes b p e.version in
+    let p = Varint.write_bytes b p e.counter in
+    let p =
+      match e.value with
+      | Some v -> add_string (Varint.write_bytes b p (String.length v)) v
+      | None -> p
+    in
+    assert (p = start + plen);
+    Bytes.set_int32_le b 0 (Crc32c.mask (Crc32c.bytes b ~pos:start ~len:plen));
+    Bytes.unsafe_to_string b
 
   let decode_payload s pos len : Kv_iter.entry =
     let fin = pos + len in
@@ -59,15 +61,24 @@ module Record = struct
       { key; value = Some (String.sub s p vlen); version; counter }
     end
 
+  (* Bytes from [pos] to the end of the frame whose header starts there,
+     or [None] while the header itself runs past the end of [s]. *)
+  let frame_length s ~pos =
+    if pos + 5 > String.length s then None
+    else
+      match Varint.read s (pos + 4) with
+      | len, p -> Some (p - pos + len)
+      | exception Invalid_argument _ -> None
+
   let decode s ~pos =
     let n = String.length s in
     if pos + 5 > n then None
     else
       match
-        let expected = Crc32c.unmask (read_u32_le s pos) in
+        let expected = Crc32c.unmask (String.get_int32_le s pos) in
         let len, p = Varint.read s (pos + 4) in
-        if len < 0 || p + len > n then None
-        else if Crc32c.string (String.sub s p len) <> expected then None
+        if len < 0 || len > n - p then None
+        else if Crc32c.substring s ~pos:p ~len <> expected then None
         else Some (decode_payload s p len, p + len)
       with
       | result -> result
@@ -77,7 +88,6 @@ end
 module Writer = struct
   type t = {
     file : Env.file;
-    buf : Buffer.t;
     mutex : Mutex.t;
     mutable pos : int;
     mutable appends : int;
@@ -86,7 +96,6 @@ module Writer = struct
   let create env name =
     {
       file = Env.create env name;
-      buf = Buffer.create 1024;
       mutex = Mutex.create ();
       pos = 0;
       appends = 0;
@@ -96,7 +105,6 @@ module Writer = struct
     let file = Env.open_append env name in
     {
       file;
-      buf = Buffer.create 1024;
       mutex = Mutex.create ();
       pos = Env.file_size file;
       appends = 0;
@@ -109,15 +117,13 @@ module Writer = struct
      serialization behind a contended log IS log-append stall. *)
   let append t e =
     Evendb_obs.Attr.timed Evendb_obs.Attr.Log_append @@ fun () ->
+    let frame = Record.encode e in
     Mutex.lock t.mutex;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.mutex)
       (fun () ->
         let start = t.pos in
-        Buffer.clear t.buf;
-        Record.encode t.buf e;
-        let len = Buffer.length t.buf in
-        (try Env.append t.file (Buffer.contents t.buf)
+        (try Env.append t.file frame
          with exn ->
            (* A failed append may be torn: some prefix of the record
               reached the backend. Resync to what actually landed so
@@ -125,7 +131,7 @@ module Writer = struct
               it by CRC resynchronization. *)
            t.pos <- Env.file_size t.file;
            raise exn);
-        t.pos <- start + len;
+        t.pos <- start + String.length frame;
         t.appends <- t.appends + 1;
         start)
 
@@ -139,6 +145,43 @@ module Writer = struct
 end
 
 module Reader = struct
+  (* Reads go through windows of [window_bytes]: a string that size
+     still fits the minor heap (at most 256 words). One read of a whole
+     range would put a fresh major-heap block on every call — every
+     munk-less scan and get — and the major GC it drives makes those
+     calls' cost vary from run to run. A frame that runs past the end of
+     a window is completed by reading just its remaining bytes, so no
+     byte is read from the env twice. *)
+  let window_bytes = 2040
+
+  (* [w] holds bytes [base, base + String.length w) of the log, and
+     [pos] is inside it or at its end. Returns a window that shows the
+     frame at [pos] as one read of the whole range up to [hi] would:
+     all of the frame, or everything up to [hi]. *)
+  let rec settle env name ~hi w ~base ~pos =
+    let rel = pos - base in
+    let avail = String.length w - rel in
+    let need =
+      match Record.frame_length w ~pos:rel with
+      | None -> window_bytes
+      | Some n -> if n > hi - pos then 0 else n
+    in
+    if avail >= hi - pos || need <= avail then (w, base)
+    else begin
+      let len = min (hi - pos) need in
+      let fresh = Env.read_at env name ~off:(pos + avail) ~len:(len - avail) in
+      let w =
+        if avail = 0 then fresh
+        else begin
+          let b = Bytes.create len in
+          Bytes.blit_string w rel b 0 avail;
+          Bytes.blit_string fresh 0 b avail (len - avail);
+          Bytes.unsafe_to_string b
+        end
+      in
+      settle env name ~hi w ~base:pos ~pos
+    end
+
   let fold ?(lo = 0) ?hi env name ~init ~f =
     if not (Env.exists env name) then init
     else begin
@@ -148,29 +191,32 @@ module Reader = struct
          record boundary, so no record straddles it. *)
       let file_len = Env.size env name in
       let hi = match hi with None -> file_len | Some h -> min h file_len in
-      if lo >= hi then init
-      else begin
-        let data = Env.read_at env name ~off:lo ~len:(hi - lo) in
-        (* Torn writes leave garbage mid-log when appends resume after a
-           failure. On a framing/CRC mismatch, resynchronize: scan ahead
-           byte-by-byte for the next position that decodes as a valid
-           record, so one torn record never hides the acknowledged
-           records behind it. A spurious match needs a 32-bit CRC
-           collision inside garbage. *)
-        (* Each maximal garbage run is one resync event on the env's
-           counter — the observable trace of torn writes survived. *)
-        let rec go acc pos ~in_garbage =
-          if pos >= hi - lo then acc
-          else
-            match Record.decode data ~pos with
-            | None ->
-              if not in_garbage then Env.note_log_resync env;
-              go acc (pos + 1) ~in_garbage:true
-            | Some (e, next) -> go (f acc (lo + pos) e) next ~in_garbage:false
-        in
-        go init 0 ~in_garbage:false
-      end
+      (* Torn writes leave garbage mid-log when appends resume after a
+         failure. On a framing/CRC mismatch, resynchronize: scan ahead
+         byte-by-byte for the next position that decodes as a valid
+         record, so one torn record never hides the acknowledged
+         records behind it. A spurious match needs a 32-bit CRC
+         collision inside garbage. *)
+      (* Each maximal garbage run is one resync event on the env's
+         counter — the observable trace of torn writes survived. *)
+      let rec go acc w base pos ~in_garbage =
+        if pos >= hi then acc
+        else
+          let w, base = settle env name ~hi w ~base ~pos in
+          match Record.decode w ~pos:(pos - base) with
+          | None ->
+            if not in_garbage then Env.note_log_resync env;
+            go acc w base (pos + 1) ~in_garbage:true
+          | Some (e, next) -> go (f acc pos e) w base (base + next) ~in_garbage:false
+      in
+      go init "" lo lo ~in_garbage:false
     end
+
+  let record_at env name ~off ~hi =
+    if off < 0 || off >= hi then None
+    else
+      let w, base = settle env name ~hi "" ~base:off ~pos:off in
+      Option.map fst (Record.decode w ~pos:(off - base))
 
   let entries env name =
     List.rev (fold env name ~init:[] ~f:(fun acc off e -> (off, e) :: acc))

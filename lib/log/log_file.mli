@@ -17,8 +17,8 @@ open Evendb_util
 open Evendb_storage
 
 module Record : sig
-  val encode : Buffer.t -> Kv_iter.entry -> unit
-  (** Append the full framed record for one entry. *)
+  val encode : Kv_iter.entry -> string
+  (** The full framed record for one entry. *)
 
   val decode : string -> pos:int -> (Kv_iter.entry * int) option
   (** [decode s ~pos] returns the entry starting at [pos] and the
@@ -62,7 +62,14 @@ module Reader : sig
       {!Writer.append}). Defaults: the whole log. Missing file =
       empty log. Undecodable bytes (torn or corrupt records) are
       skipped via CRC resynchronization; each maximal garbage run is
-      counted once on the env ({!Env.log_resyncs}). *)
+      counted once on the env ({!Env.log_resyncs}). The range is read
+      in windows of about 2 KiB, each byte once. *)
+
+  val record_at : Env.t -> string -> off:int -> hi:int -> Kv_iter.entry option
+  (** [record_at env name ~off ~hi] is the record framed at [off], read
+      on its own, or [None] if no valid record whose frame ends by [hi]
+      starts there. Raises what {!Env.read_at} raises when the file is
+      missing or shorter than the frame needs. *)
 
   val entries : Env.t -> string -> (int * Kv_iter.entry) list
   (** All valid records with their offsets, in append order. *)

@@ -10,11 +10,13 @@ type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1
 type t = { buf : buf; off : int; len : int }
 
 let length t = t.len
+let bigarray t = t.buf
+let offset t = t.off
 
 let of_bigarray ?(off = 0) ?len buf =
   let buf_len = Bigarray.Array1.dim buf in
   let len = match len with Some l -> l | None -> buf_len - off in
-  if off < 0 || len < 0 || off + len > buf_len then
+  if off < 0 || len < 0 || len > buf_len - off then
     invalid_arg "Bigslice.of_bigarray: slice out of bounds";
   { buf; off; len }
 
@@ -32,7 +34,7 @@ let set t i c =
   Bigarray.Array1.unsafe_set t.buf (t.off + i) c
 
 let sub t ~off ~len =
-  if off < 0 || len < 0 || off + len > t.len then
+  if off < 0 || len < 0 || len > t.len - off then
     invalid_arg "Bigslice.sub: slice out of bounds";
   { buf = t.buf; off = t.off + off; len }
 
@@ -45,7 +47,7 @@ let of_string s =
   t
 
 let substring t ~off ~len =
-  if off < 0 || len < 0 || off + len > t.len then
+  if off < 0 || len < 0 || len > t.len - off then
     invalid_arg "Bigslice.substring: slice out of bounds";
   String.init len (fun i -> Bigarray.Array1.unsafe_get t.buf (t.off + off + i))
 
@@ -59,9 +61,9 @@ let copy t =
   dst
 
 let blit_from_bytes src ~src_off dst ~dst_off ~len =
-  if src_off < 0 || len < 0 || src_off + len > Bytes.length src then
+  if src_off < 0 || len < 0 || len > Bytes.length src - src_off then
     invalid_arg "Bigslice.blit_from_bytes: source out of bounds";
-  if dst_off < 0 || dst_off + len > dst.len then
+  if dst_off < 0 || len > dst.len - dst_off then
     invalid_arg "Bigslice.blit_from_bytes: destination out of bounds";
   for i = 0 to len - 1 do
     Bigarray.Array1.unsafe_set dst.buf (dst.off + dst_off + i)

@@ -10,6 +10,12 @@ type t
 
 val length : t -> int
 
+val bigarray : t -> buf
+val offset : t -> int
+(** The underlying buffer and the slice's start in it, for zero-copy
+    readers such as {!Crc32c.bigslice}. Do not write through the
+    buffer. *)
+
 val of_bigarray : ?off:int -> ?len:int -> buf -> t
 (** View over an existing bigarray without copying. *)
 

@@ -223,3 +223,140 @@ let suite =
           Alcotest.test_case "extreme version/counter" `Quick version_counter_extremes;
         ] );
     ]
+
+(* ---- Windowed reads ---- *)
+
+(* Reference reader over one read of the whole range: the windowed
+   reader must return the same records at the same offsets and count
+   the same garbage runs. *)
+let one_read_fold env name ~lo ~hi =
+  let hi = min hi (Env.size env name) in
+  if lo >= hi then ([], 0)
+  else begin
+    let data = Env.read_at env name ~off:lo ~len:(hi - lo) in
+    let rec go acc runs pos ~in_garbage =
+      if pos >= hi - lo then (List.rev acc, runs)
+      else
+        match Log_file.Record.decode data ~pos with
+        | None -> go acc (if in_garbage then runs else runs + 1) (pos + 1) ~in_garbage:true
+        | Some (e, next) -> go ((lo + pos, e) :: acc) runs next ~in_garbage:false
+    in
+    go [] 0 0 ~in_garbage:false
+  end
+
+let windowed_fold (env, name, lo, hi) =
+  let r0 = Env.log_resyncs env in
+  let got =
+    List.rev (Log_file.Reader.fold ~lo ~hi env name ~init:[] ~f:(fun acc off e -> (off, e) :: acc))
+  in
+  (got, Env.log_resyncs env - r0)
+
+(* A log of records whose values straddle the ~2 KiB read window, with
+   garbage runs between some of them and possibly a torn last record;
+   [lo] is a record boundary and [hi] anywhere in the file. *)
+let gen_log =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        ( 4,
+          map2
+            (fun klen vlen -> `Record (String.make klen 'k', String.make vlen 'v'))
+            (int_range 0 40) (int_range 0 6000) );
+        (1, map (fun s -> `Garbage s) (string_size ~gen:char (int_range 1 64)));
+      ]
+  in
+  map3
+    (fun pieces torn (lo_pick, hi_pick) ->
+      let env = Env.memory () in
+      let f = Env.create env "w.log" in
+      let starts = ref [ 0 ] in
+      List.iteri
+        (fun i p ->
+          match p with
+          | `Record (k, v) ->
+            starts := Env.file_size f :: !starts;
+            Env.append f (Log_file.Record.encode (entry ~version:i ~value:v k))
+          | `Garbage s -> Env.append f s)
+        pieces;
+      if torn > 0 then begin
+        let frame = Log_file.Record.encode (entry ~value:(String.make 3000 't') "torn") in
+        Env.append f (String.sub frame 0 (min torn (String.length frame - 1)))
+      end;
+      Env.close_file f;
+      let size = Env.size env "w.log" in
+      let starts = Array.of_list !starts in
+      let lo = starts.(lo_pick mod Array.length starts) in
+      (env, "w.log", lo, lo + (hi_pick mod (size - lo + 1)))
+    )
+    (list_size (int_range 1 24) piece)
+    (int_range 0 3100) (pair nat nat)
+
+let windowed_equals_one_read =
+  QCheck.Test.make ~name:"windowed fold = one-read fold" ~count:150
+    (QCheck.make gen_log ~print:(fun (_, _, lo, hi) -> Printf.sprintf "lo=%d hi=%d" lo hi))
+    (fun ((env, name, lo, hi) as case) ->
+      let want = one_read_fold env name ~lo ~hi in
+      windowed_fold case = want)
+
+let fold_reads_each_byte_once () =
+  let env = Env.memory () in
+  let w = Log_file.Writer.create env "once.log" in
+  List.iteri
+    (fun i n -> ignore (Log_file.Writer.append w (entry ~version:i ~value:(String.make n 'x') "k")))
+    [ 10; 5000; 700; 2030; 2040; 0; 9000; 1 ];
+  let size = Env.size env "once.log" in
+  let read () = (Io_stats.snapshot (Env.stats env)).Io_stats.bytes_read in
+  let r0 = read () in
+  let n = Log_file.Reader.fold env "once.log" ~init:0 ~f:(fun acc _ _ -> acc + 1) in
+  Alcotest.(check int) "all records" 8 n;
+  Alcotest.(check int) "bytes read = log size" size (read () - r0)
+
+(* One read of a 256 KiB range would be a 32K-word major-heap block per
+   fold; the windows stay in the minor heap. *)
+let fold_allocates_no_large_block () =
+  let env = Env.memory () in
+  let w = Log_file.Writer.create env "big.log" in
+  let i = ref 0 in
+  while Log_file.Writer.size w < 256 * 1024 do
+    incr i;
+    ignore (Log_file.Writer.append w (entry ~version:!i ~value:(String.make 800 'v') "key"))
+  done;
+  let count () = Log_file.Reader.fold env "big.log" ~init:0 ~f:(fun acc _ _ -> acc + 1) in
+  ignore (count ());
+  let m0 = (Gc.quick_stat ()).Gc.major_words in
+  let n = count () in
+  let major = (Gc.quick_stat ()).Gc.major_words -. m0 in
+  Alcotest.(check int) "all records" !i n;
+  if major > 4096.0 then Alcotest.failf "fold put %.0f words on the major heap" major
+
+let record_at_reads_one_record () =
+  let env = Env.memory () in
+  let w = Log_file.Writer.create env "ra.log" in
+  let written = List.map (fun n -> entry ~version:n ~value:(String.make n 'r') "k") [ 3; 4000; 12 ] in
+  let offsets = List.map (Log_file.Writer.append w) written in
+  let size = Env.size env "ra.log" in
+  List.iter2
+    (fun off e ->
+      Alcotest.(check bool) "record at its offset" true
+        (Log_file.Reader.record_at env "ra.log" ~off ~hi:size = Some e))
+    offsets written;
+  let big = List.nth offsets 1 and last = List.nth offsets 2 in
+  Alcotest.(check bool) "mid-record offset" true
+    (Log_file.Reader.record_at env "ra.log" ~off:(big + 1) ~hi:size = None);
+  Alcotest.(check bool) "frame cut by hi" true
+    (Log_file.Reader.record_at env "ra.log" ~off:big ~hi:(last - 1) = None);
+  Alcotest.(check bool) "offset at hi" true
+    (Log_file.Reader.record_at env "ra.log" ~off:last ~hi:last = None)
+
+let suite =
+  suite
+  @ [
+      ( "log_windows",
+        [
+          qtest windowed_equals_one_read;
+          Alcotest.test_case "each byte read once" `Quick fold_reads_each_byte_once;
+          Alcotest.test_case "no major-heap block per fold" `Quick fold_allocates_no_large_block;
+          Alcotest.test_case "record_at" `Quick record_at_reads_one_record;
+        ] );
+    ]

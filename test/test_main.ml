@@ -10,6 +10,7 @@ let () =
          Test_storage.suite;
          Test_bloom.suite;
          Test_log.suite;
+         Test_format.suite;
          Test_sstable.suite;
          Test_cache.suite;
          Test_block_cache.suite;

@@ -162,6 +162,34 @@ let uncovered_suffix () =
   done;
   check_range "suffix" view env sst ~sst_sorted ~log_entries ~low:"" ~high:"\xff"
 
+(* --- unit: log records larger than the log reader's window --------- *)
+
+let large_log_records () =
+  let env = Env.memory () in
+  let st = Random.State.make [| 0x5ee1; 10 |] in
+  let next_v = ref 0 in
+  let gen n =
+    List.init n (fun _ ->
+        incr next_v;
+        let value = String.make (Random.State.int st 7000) (Char.chr (97 + (!next_v mod 26))) in
+        mk (Printf.sprintf "k%03d" (Random.State.int st 60)) !next_v (Some value))
+  in
+  let sst, sst_sorted = build_sst env "t.sst" (gen 40) in
+  let covered = gen 30 in
+  write_log env "t.log" covered;
+  Sorted_view.build env ~sst ~log_name:"t.log" ~view_name:"t.view";
+  let suffix = gen 20 in
+  append_log env "t.log" suffix;
+  let view =
+    match Sorted_view.load env ~sst ~log_name:"t.log" ~view_name:"t.view" with
+    | Some v -> v
+    | None -> Alcotest.fail "fresh view failed to load"
+  in
+  let log_entries = covered @ suffix in
+  List.iter
+    (fun (low, high) -> check_range "large" view env sst ~sst_sorted ~log_entries ~low ~high)
+    [ ("", "\xff"); ("k010", "k030"); ("k029", "k029"); ("k050", "k070") ]
+
 (* --- validation: load rejects what it must ------------------------- *)
 
 let load_validation () =
@@ -348,6 +376,7 @@ let suite =
         Alcotest.test_case "merge equivalence (small, all ranges)" `Quick small_equivalence;
         Alcotest.test_case "merge equivalence across fences" `Quick fence_seek_equivalence;
         Alcotest.test_case "uncovered log suffix is merged in" `Quick uncovered_suffix;
+        Alcotest.test_case "log records larger than a read window" `Quick large_log_records;
         Alcotest.test_case "load rejects corrupt/truncated/foreign" `Quick load_validation;
         Alcotest.test_case "mid-walk tampering raises Stale" `Quick stale_mid_walk;
         Alcotest.test_case "db scans: views on == views off" `Quick db_differential;

@@ -84,6 +84,118 @@ let crc_bytes_slice () =
   let b = Bytes.of_string "xxhello worldyy" in
   Alcotest.(check int32) "slice" (Crc32c.string "hello world") (Crc32c.bytes b ~pos:2 ~len:11)
 
+(* RFC 3720 section B.4 known-answer vectors. *)
+let crc_rfc3720_vectors () =
+  let check name want s = Alcotest.(check int32) name want (Crc32c.string s) in
+  check "32 x 0x00" 0x8A9136AAl (String.make 32 '\x00');
+  check "32 x 0xFF" 0x62A8AB43l (String.make 32 '\xff');
+  check "0..31" 0x46DD794El (String.init 32 Char.chr);
+  check "31..0" 0x113FDB5Cl (String.init 32 (fun i -> Char.chr (31 - i)))
+
+(* Bytewise table-driven CRC-32C, the textbook form the slicing-by-8
+   implementation must agree with bit for bit. *)
+let ref_table =
+  Array.init 256 (fun i ->
+      let c = ref i in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0x82f63b78 else !c lsr 1
+      done;
+      !c)
+
+let ref_crc ?(init = 0l) s ~pos ~len =
+  let c = ref (Int32.to_int init land 0xffffffff lxor 0xffffffff) in
+  for i = pos to pos + len - 1 do
+    c := ref_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xffffffff)
+
+(* Every entry point over [s.[pos .. pos + len - 1]] against the
+   reference, with and without a running [init]. The bigarray copy sits
+   at a nonzero offset inside a larger buffer, so slice offsets are
+   exercised there too. *)
+let crc_entry_points_agree ~init s ~pos ~len =
+  let want = ref_crc ~init s ~pos ~len in
+  let big = Bigslice.of_string ("pad" ^ s) in
+  let big = Bigslice.sub big ~off:3 ~len:(String.length s) in
+  let sub = String.sub s pos len in
+  want = Crc32c.substring ~init s ~pos ~len
+  && want = Crc32c.string ~init sub
+  && want = Crc32c.bytes ~init (Bytes.of_string s) ~pos ~len
+  && want = Crc32c.bigslice ~init big ~pos ~len
+  && ref_crc s ~pos ~len = Crc32c.substring s ~pos ~len
+
+let crc_sweep_lengths () =
+  let s = String.init 4120 (fun i -> Char.chr (((i * 131) + (i lsr 7)) land 0xff)) in
+  for len = 0 to 4100 do
+    let pos = len mod 8 in
+    if not (crc_entry_points_agree ~init:(Int32.of_int (len * 2654435761)) s ~pos ~len) then
+      Alcotest.failf "mismatch at pos %d len %d" pos len
+  done
+
+let crc_differential =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 0 7) (string_size ~gen:char (int_range 0 4100)) (int_range 0 4100)
+        (map Int32.of_int int))
+  in
+  let print (pos, s, cut, init) =
+    Printf.sprintf "pos=%d len=%d cut=%d init=%ld" pos (String.length s) cut init
+  in
+  QCheck.Test.make ~name:"crc matches bytewise reference" ~count:300 (QCheck.make ~print gen)
+    (fun (pos, body, cut, init) ->
+      let s = String.make pos 'p' ^ body ^ "tail" in
+      let len = String.length body in
+      let cut = min cut len in
+      let a = String.sub body 0 cut and b = String.sub body cut (len - cut) in
+      crc_entry_points_agree ~init s ~pos ~len
+      && Crc32c.string ~init:(Crc32c.string a) b = Crc32c.string body
+      && Crc32c.substring ~init:(Crc32c.substring s ~pos ~len:cut) s ~pos:(pos + cut)
+           ~len:(len - cut)
+         = Crc32c.string body)
+
+(* [pos + len] overflows for a huge [len]; each check must still refuse
+   the slice instead of reading or writing past the buffer. *)
+let raises name f = Alcotest.check_raises name (Invalid_argument name) (fun () -> ignore (f ()))
+
+let crc_huge_len_rejected () =
+  let b = Bytes.make 16 'a' in
+  let big = Bigslice.of_string (Bytes.to_string b) in
+  raises "Crc32c.bytes: slice out of bounds" (fun () -> Crc32c.bytes b ~pos:1 ~len:max_int);
+  raises "Crc32c.substring: slice out of bounds" (fun () ->
+      Crc32c.substring (Bytes.to_string b) ~pos:1 ~len:max_int);
+  raises "Crc32c.bigslice: slice out of bounds" (fun () -> Crc32c.bigslice big ~pos:1 ~len:max_int)
+
+let bigslice_huge_len_rejected () =
+  let big = Bigslice.of_string (String.make 16 'a') in
+  let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 16 in
+  raises "Bigslice.of_bigarray: slice out of bounds" (fun () ->
+      Bigslice.of_bigarray ~off:1 ~len:max_int buf);
+  raises "Bigslice.sub: slice out of bounds" (fun () -> Bigslice.sub big ~off:1 ~len:max_int);
+  raises "Bigslice.substring: slice out of bounds" (fun () ->
+      Bigslice.substring big ~off:1 ~len:max_int);
+  raises "Bigslice.blit_from_bytes: source out of bounds" (fun () ->
+      Bigslice.blit_from_bytes (Bytes.make 16 'b') ~src_off:1 big ~dst_off:1 ~len:max_int)
+
+(* Checksumming allocates only the boxed result (and the [Some] of an
+   explicit [init]): nothing proportional to the input. *)
+let crc_allocation_budget () =
+  let s = String.init 65536 (fun i -> Char.chr (i land 0xff)) in
+  let big = Bigslice.of_string s in
+  let words_per_call name f =
+    ignore (f ());
+    let reps = 50 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int reps in
+    if w > 8.0 then Alcotest.failf "%s: %.1f minor words per 64 KiB call (budget 8)" name w
+  in
+  words_per_call "string" (fun () -> Crc32c.string s);
+  words_per_call "string ~init" (fun () -> Crc32c.string ~init:0x1234l s);
+  words_per_call "substring" (fun () -> Crc32c.substring s ~pos:1 ~len:65535);
+  words_per_call "bigslice" (fun () -> Crc32c.bigslice big ~pos:0 ~len:65536)
+
 (* ---- Bits ---- *)
 
 let bits_clz_exhaustive () =
@@ -474,9 +586,15 @@ let suite =
       [
         Alcotest.test_case "known vectors" `Quick crc_known_vectors;
         Alcotest.test_case "bytes slice" `Quick crc_bytes_slice;
+        Alcotest.test_case "RFC 3720 vectors" `Quick crc_rfc3720_vectors;
+        Alcotest.test_case "every length 0..4100" `Quick crc_sweep_lengths;
+        qtest crc_differential;
+        Alcotest.test_case "huge len rejected" `Quick crc_huge_len_rejected;
+        Alcotest.test_case "allocation budget" `Quick crc_allocation_budget;
         qtest crc_mask_roundtrip;
         qtest crc_detects_flip;
       ] );
+    ("bigslice", [ Alcotest.test_case "huge len rejected" `Quick bigslice_huge_len_rejected ]);
     ( "bits",
       [
         Alcotest.test_case "clz and log2" `Quick bits_clz;
